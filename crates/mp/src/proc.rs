@@ -96,12 +96,62 @@ pub struct MbCore {
     /// stale phase-body-completion timers after a fault.
     pub work_token: u64,
     /// Flight recorder for happens-before events (off by default; drivers
-    /// arm it). Pure observer: never touches `rng` or the protocol state.
+    /// arm it before the first step, since the core caches its own last
+    /// event id). Pure observer: never touches `rng` or the protocol state.
     pub recorder: CausalRecorder,
     /// Causal tags of deliveries folded into `copy` since the last recorded
     /// event; drained into that event's predecessor list.
     pending_tags: Vec<EventId>,
+    /// Predecessor list of the event being recorded, reused across events.
+    preds: Vec<EventId>,
+    /// This process's most recent recorded event, as `recorder.record`
+    /// returned it. The core is the only writer for its pid, so this equals
+    /// `recorder.last(pid)` without taking the recorder's lock.
+    last_event: Option<EventId>,
     seq: Arc<AtomicU64>,
+}
+
+/// The flight-recorder label of a control-position change, `cp:Old->New`
+/// (the `Debug` names), for every pair without formatting.
+fn cp_label(old: Cp, new: Cp) -> &'static str {
+    const LABELS: [[&str; 5]; 5] = [
+        [
+            "cp:Ready->Ready",
+            "cp:Ready->Execute",
+            "cp:Ready->Success",
+            "cp:Ready->Error",
+            "cp:Ready->Repeat",
+        ],
+        [
+            "cp:Execute->Ready",
+            "cp:Execute->Execute",
+            "cp:Execute->Success",
+            "cp:Execute->Error",
+            "cp:Execute->Repeat",
+        ],
+        [
+            "cp:Success->Ready",
+            "cp:Success->Execute",
+            "cp:Success->Success",
+            "cp:Success->Error",
+            "cp:Success->Repeat",
+        ],
+        [
+            "cp:Error->Ready",
+            "cp:Error->Execute",
+            "cp:Error->Success",
+            "cp:Error->Error",
+            "cp:Error->Repeat",
+        ],
+        [
+            "cp:Repeat->Ready",
+            "cp:Repeat->Execute",
+            "cp:Repeat->Success",
+            "cp:Repeat->Error",
+            "cp:Repeat->Repeat",
+        ],
+    ];
+    LABELS[old as usize][new as usize]
 }
 
 impl MbCore {
@@ -126,6 +176,8 @@ impl MbCore {
             work_token: 0,
             recorder: CausalRecorder::off(),
             pending_tags: Vec::new(),
+            preds: Vec::new(),
+            last_event: None,
             seq,
         }
     }
@@ -140,10 +192,7 @@ impl MbCore {
                 old,
                 new: self.own.cp,
             });
-            if self.recorder.is_enabled() {
-                let label = format!("cp:{:?}->{:?}", old, self.own.cp);
-                self.causal(now, &label);
-            }
+            self.causal(now, cp_label(old, self.own.cp));
         }
     }
 
@@ -153,18 +202,23 @@ impl MbCore {
         if !self.recorder.is_enabled() {
             return;
         }
-        let mut preds: Vec<EventId> = Vec::with_capacity(self.pending_tags.len() + 1);
-        preds.extend(self.recorder.last(self.pid));
-        preds.append(&mut self.pending_tags);
-        preds.sort_unstable();
-        preds.dedup();
-        self.recorder
-            .record(self.pid, label, now.as_f64(), Some(self.own.ph), &preds);
+        self.preds.clear();
+        self.preds.extend(self.last_event);
+        self.preds.append(&mut self.pending_tags);
+        self.preds.sort_unstable();
+        self.preds.dedup();
+        self.last_event = self.recorder.record(
+            self.pid,
+            label,
+            now.as_f64(),
+            Some(self.own.ph),
+            &self.preds,
+        );
     }
 
     /// The causal tag for an outgoing gossip: the sender's latest event.
     pub fn causal_tag(&self) -> Option<EventId> {
-        self.recorder.last(self.pid)
+        self.last_event
     }
 
     /// Record a retransmission heartbeat. Liveness marker: a fail-stopped
@@ -433,4 +487,81 @@ pub fn try_sn_domain(n: usize, l: u32) -> Result<u32, ftbarrier_core::DomainErro
         return Err(ftbarrier_core::DomainError::LTooSmall { l, min });
     }
     Ok(l)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn cp_label_matches_the_debug_rendering_for_every_pair() {
+        for old in Cp::RB_DOMAIN {
+            for new in Cp::RB_DOMAIN {
+                assert_eq!(cp_label(old, new), format!("cp:{old:?}->{new:?}"));
+            }
+        }
+    }
+
+    #[test]
+    fn causal_tag_tracks_the_recorder_after_every_kind_of_event() {
+        let recorder = CausalRecorder::bounded(64);
+        let seq = Arc::new(AtomicU64::new(0));
+        let mut cores: Vec<MbCore> = (0..2)
+            .map(|pid| {
+                let mut core = MbCore::new(pid, 4, sn_domain(2), 7 + pid as u64, seq.clone());
+                core.recorder = recorder.clone();
+                core
+            })
+            .collect();
+        let check = |core: &MbCore, what: &str| {
+            assert!(core.causal_tag().is_some(), "{what}: nothing recorded");
+            assert_eq!(
+                core.causal_tag(),
+                recorder.last(core.pid),
+                "{what}: cached tag diverged from the recorder"
+            );
+        };
+        // Both pids record into the one ring, interleaved, so a cache that
+        // picked up the other pid's event would show.
+        assert_eq!(cores[1].causal_tag(), None, "nothing recorded yet");
+        assert_eq!(
+            cores[0].step(Time::ZERO),
+            Step::Moved,
+            "root starts a phase"
+        );
+        check(&cores[0], "step");
+        cores[1].record_heartbeat(Time::new(0.05));
+        check(&cores[1], "heartbeat");
+        let tag = cores[1].causal_tag();
+        cores[0].on_delivery_tagged(Delivery::Ok(StateMsg::initial()), tag);
+        cores[0].apply_poison(Time::new(0.1));
+        check(&cores[0], "poison");
+        cores[1].apply_scramble(Time::new(0.15));
+        check(&cores[1], "scramble");
+        cores[0].record_heartbeat(Time::new(0.2));
+        check(&cores[0], "heartbeat");
+        let upstream = cores[0].own;
+        cores[1].rejoin(Time::new(0.25), upstream);
+        check(&cores[1], "rejoin");
+        cores[0].record_fail_stop(Time::new(0.3));
+        check(&cores[0], "fail-stop");
+        cores[1].record_arrival(Time::new(0.35));
+        check(&cores[1], "arrival");
+
+        // Every event names its own pid's previous event, and the delivery
+        // edge rode into the next event p0 recorded (the poison's cp change).
+        let graph = recorder.snapshot();
+        for pid in 0..2u32 {
+            let own: Vec<_> = graph.events.iter().filter(|e| e.id.pid == pid).collect();
+            for pair in own.windows(2) {
+                assert!(pair[1].preds.contains(&pair[0].id), "{:?}", pair[1]);
+            }
+        }
+        let poisoned = graph
+            .events
+            .iter()
+            .find(|e| e.id.pid == 0 && e.label == "cp:Execute->Error")
+            .expect("poison recorded");
+        assert!(poisoned.preds.contains(&tag.unwrap()), "{poisoned:?}");
+    }
 }

@@ -286,24 +286,22 @@ impl<T: Clone> SimNet<T> {
         };
 
         // Reordering: park this message; release any previously held one
-        // after the next send (a swap of adjacent messages).
-        let mut to_send: Vec<(Delivery<T>, Option<EventId>)> = Vec::with_capacity(3);
+        // after the next send (a swap of adjacent messages). The schedule
+        // order (this message, the released one, the duplicate) fixes the
+        // latency draws and queue sequence numbers, so it must not change.
         if hold && self.links[link].held.is_none() {
             self.stats.held += 1;
             self.links[link].held = Some((delivery.clone(), tag));
         } else {
-            to_send.push((delivery.clone(), tag));
-            if let Some(prev) = self.links[link].held.take() {
-                to_send.push(prev);
+            self.schedule(link, delivery.clone(), tag);
+            if let Some((prev, prev_tag)) = self.links[link].held.take() {
+                self.schedule(link, prev, prev_tag);
             }
         }
         if duplicate {
             self.stats.duplicated += 1;
             self.count("net_duplicated_total", link);
-            to_send.push((delivery, tag));
-        }
-        for (d, t) in to_send {
-            self.schedule(link, d, t);
+            self.schedule(link, delivery, tag);
         }
     }
 

@@ -805,3 +805,92 @@ fn crashed_process_is_blamed_in_the_flight_dump() {
     assert!(ok.reached_target);
     assert!(ok.flight_dump.is_none());
 }
+
+/// FNV-1a (64-bit): a dependency-free fingerprint for pinned outputs.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The fingerprint a golden run is pinned to: trace hash, merged cp-event
+/// count, events processed, and the hash of the wedge flight dump.
+fn golden(cfg: SimMbConfig) -> (u64, usize, u64, u64) {
+    let r = run(cfg);
+    assert!(r.violations.is_empty(), "{:?}", r.violations);
+    let dump = r
+        .flight_dump
+        .as_deref()
+        .expect("the run is cut short and dumps");
+    let parsed = FlightDump::parse(dump).expect("dump parses");
+    parsed.replay().expect("dump replays");
+    assert!(parsed.dropped > 0, "the ring never overflowed");
+    (
+        fnv1a(r.trace.as_bytes()),
+        r.cp_events.len(),
+        r.events_processed,
+        fnv1a(dump.as_bytes()),
+    )
+}
+
+/// N = 32 over 5 % loss, 2 % duplication, 2 % detectable corruption and
+/// 2 % reorder per link with Poisson poisons at rate 0.02, cut short by
+/// `max_time` so every run also writes a flight dump.
+fn golden_lossy(seed: u64) -> SimMbConfig {
+    SimMbConfig {
+        n: 32,
+        target_phases: 1_000,
+        max_time: 16.0,
+        seed,
+        link: LinkConfig {
+            latency: LatencyModel::Fixed(0.01),
+            faults: ChannelFaults {
+                loss: 0.05,
+                duplication: 0.02,
+                corruption: 0.02,
+                reorder: 0.02,
+            },
+        },
+        plan: FaultPlan {
+            poison_rate: 0.02,
+            ..Default::default()
+        },
+        ..Default::default()
+    }
+}
+
+#[test]
+fn golden_runs_are_byte_identical_to_the_pinned_outputs() {
+    // Pinned values: any change to an RNG draw, a delivery order, a trace
+    // line or a flight-recorder label or predecessor list moves a hash.
+    // The flight dumps overflow the 8192-event ring, so eviction and the
+    // per-pid sequence numbers across it are pinned too.
+    let pinned: [(u64, (u64, usize, u64, u64)); 3] = [
+        (1, (15397748919514199043, 800, 11508, 11365536099647250258)),
+        (2, (12964893040124936613, 801, 11513, 8989079660138621383)),
+        (3, (18208957235071656168, 827, 11578, 7312059356960973977)),
+    ];
+    for (seed, want) in pinned {
+        let got = golden(golden_lossy(seed));
+        assert_eq!(got, want, "seed {seed} left its pinned outputs");
+    }
+
+    // A crash without reboot wedges the ring until the virtual-time limit.
+    let crashed = SimMbConfig {
+        plan: FaultPlan {
+            crashes: vec![CrashPlan {
+                pid: 7,
+                at: 2.5,
+                reboot_at: 1e9,
+            }],
+            poison_rate: 0.02,
+            ..Default::default()
+        },
+        ..golden_lossy(4)
+    };
+    assert_eq!(
+        golden(crashed),
+        (5919089931334849620, 135, 10706, 7133710722922791677),
+        "the crash run left its pinned outputs"
+    );
+}

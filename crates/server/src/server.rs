@@ -94,7 +94,7 @@ impl Shared {
 
 /// A routed session: the acceptor read the `Join`, a shard owns the rest.
 struct NewSession {
-    stream: TcpStream,
+    session: Session,
     group: String,
     size: u32,
 }
@@ -219,22 +219,27 @@ fn shard_of(group: &str, shards: usize) -> usize {
     (h % shards as u64) as usize
 }
 
-/// Blocking-read one frame within `timeout`. `None` on timeout, EOF, or a
-/// malformed frame.
-fn read_one_frame(stream: &mut TcpStream, timeout: Duration) -> Option<Vec<u8>> {
+/// Blocking-read the first frame, waiting at most `timeout` per read.
+/// Returns its body, the reader (it may hold part of a later frame) and
+/// every later frame the same reads completed: a client may pipeline
+/// frames behind its `Join`. `None` on timeout, EOF, or a malformed frame.
+fn read_first_frame(
+    stream: &mut TcpStream,
+    timeout: Duration,
+) -> Option<(Vec<u8>, FrameReader, Vec<Vec<u8>>)> {
     stream.set_read_timeout(Some(timeout)).ok()?;
     let mut reader = FrameReader::new();
     let mut buf = [0u8; 4096];
-    let mut out = Vec::new();
+    let mut bodies = Vec::new();
     loop {
         match stream.read(&mut buf) {
             Ok(0) => return None,
             Ok(n) => {
-                reader.push(&buf[..n], &mut out).ok()?;
-                if let Some(body) = out.into_iter().next() {
-                    return Some(body);
+                reader.push(&buf[..n], &mut bodies).ok()?;
+                if !bodies.is_empty() {
+                    let first = bodies.remove(0);
+                    return Some((first, reader, bodies));
                 }
-                out = Vec::new();
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => return None,
@@ -279,7 +284,8 @@ fn accept_loop(
         match listener.accept() {
             Ok((mut stream, peer)) => {
                 let _ = stream.set_nodelay(true);
-                let Some(body) = read_one_frame(&mut stream, join_timeout) else {
+                let Some((body, reader, backlog)) = read_first_frame(&mut stream, join_timeout)
+                else {
                     shared.log(format!("{peer}: dropped before a Join frame"));
                     continue;
                 };
@@ -294,7 +300,11 @@ fn accept_loop(
                             .counter("server_sessions_opened_total", &[], 1);
                         shared.sessions_active.fetch_add(1, Ordering::AcqRel);
                         let _ = shards[shard].send(NewSession {
-                            stream,
+                            session: Session {
+                                stream,
+                                reader,
+                                backlog,
+                            },
                             group,
                             size,
                         });
@@ -320,16 +330,21 @@ fn accept_loop(
     }
 }
 
-/// One connected member of an active group.
+/// One connected member of a group, from its `Join` on.
 struct Session {
     stream: TcpStream,
+    /// The frame parser that read the `Join`: it may already hold part of
+    /// the next frame.
     reader: FrameReader,
+    /// Frames that arrived with the `Join`, applied by the first pump
+    /// after the group seals.
+    backlog: Vec<Vec<u8>>,
 }
 
 /// A group waiting for its declared size to be reached.
 struct PendingGroup {
     size: u32,
-    sessions: Vec<TcpStream>,
+    sessions: Vec<Session>,
 }
 
 /// A sealed, running group.
@@ -396,11 +411,11 @@ fn seat_session(
     group_cfg: &GroupConfig,
 ) {
     let NewSession {
-        stream,
+        session,
         group,
         size,
     } = new;
-    let refuse = |mut stream: TcpStream, reason: &str| {
+    let refuse = |Session { mut stream, .. }: Session, reason: &str| {
         let bye = ServerFrame::Bye {
             reason: reason.into(),
         }
@@ -412,7 +427,7 @@ fn seat_session(
             .counter("server_sessions_closed_total", &[], 1);
     };
     if groups.iter().any(|g| g.name == group) {
-        refuse(stream, "group already running");
+        refuse(session, "group already running");
         return;
     }
     let entry = pending.entry(group.clone()).or_insert(PendingGroup {
@@ -420,15 +435,15 @@ fn seat_session(
         sessions: Vec::new(),
     });
     if entry.size != size {
-        refuse(stream, "size disagrees with the group's declared size");
+        refuse(session, "size disagrees with the group's declared size");
         return;
     }
     if entry.sessions.len() as u32 + 1 > entry.size {
-        refuse(stream, "group is full");
+        refuse(session, "group is full");
         return;
     }
-    let _ = stream.set_nonblocking(true);
-    entry.sessions.push(stream);
+    let _ = session.stream.set_nonblocking(true);
+    entry.sessions.push(session);
     if entry.sessions.len() as u32 == entry.size {
         let PendingGroup { size, sessions } = pending.remove(&group).expect("just inserted");
         let barrier = BarrierGroup::new(
@@ -438,17 +453,14 @@ fn seat_session(
             shared.telemetry.clone(),
         );
         let mut seats: Vec<Option<Session>> = Vec::new();
-        for (member, mut stream) in sessions.into_iter().enumerate() {
+        for (member, mut session) in sessions.into_iter().enumerate() {
             let welcome = ServerFrame::Welcome {
                 member: member as u32,
                 size,
             }
             .to_frame();
-            let ok = write_frame(&mut stream, &welcome, WRITE_TIMEOUT).is_ok();
-            seats.push(ok.then(|| Session {
-                stream,
-                reader: FrameReader::new(),
-            }));
+            let ok = write_frame(&mut session.stream, &welcome, WRITE_TIMEOUT).is_ok();
+            seats.push(ok.then_some(session));
         }
         shared.groups_active.fetch_add(1, Ordering::AcqRel);
         shared.log(format!("group {group:?} sealed with {size} members"));
@@ -466,7 +478,7 @@ fn seat_session(
 /// if the session died (EOF, error, malformed frame, or `Leave`).
 fn drain_session(member: usize, s: &mut Session, group: &mut BarrierGroup) -> bool {
     let mut buf = [0u8; 4096];
-    let mut bodies = Vec::new();
+    let mut bodies = std::mem::take(&mut s.backlog);
     loop {
         match s.stream.read(&mut buf) {
             Ok(0) => return false,

@@ -6,7 +6,7 @@ use ftbarrier_server::client::{run_client, BarrierClient};
 use ftbarrier_server::group::GroupConfig;
 use ftbarrier_server::selftest::{http_get, run_selftest};
 use ftbarrier_server::server::{Server, ServerConfig};
-use ftbarrier_server::wire::{frame, ClientFrame, MAX_FRAME};
+use ftbarrier_server::wire::{frame, ClientFrame, FrameReader, ServerFrame, MAX_FRAME};
 use ftbarrier_telemetry::export::PROMETHEUS_CONTENT_TYPE;
 use ftbarrier_telemetry::{prom, FlightDump};
 use std::io::{Read, Write};
@@ -349,6 +349,73 @@ fn random_garbage_frames_are_contained_as_detectable_faults() {
         log.contains("member 1 vanished, spliced"),
         "in-group garbler is spliced:\n{log}"
     );
+    server.shutdown();
+}
+
+/// Read server frames from a raw client socket until `Release` for
+/// `phase`; any other outcome (a `Bye`, EOF, a timeout) is an error.
+fn await_raw_release(sock: &mut TcpStream, phase: u64) -> Result<(), String> {
+    sock.set_read_timeout(Some(Duration::from_secs(10)))
+        .map_err(|e| e.to_string())?;
+    let mut reader = FrameReader::new();
+    let mut bodies: Vec<Vec<u8>> = Vec::new();
+    let mut buf = [0u8; 1024];
+    loop {
+        for body in bodies.drain(..) {
+            match ServerFrame::decode(&body) {
+                Some(ServerFrame::Welcome { .. }) => {}
+                Some(ServerFrame::Release { phase: p, .. }) if p == phase => return Ok(()),
+                other => return Err(format!("unexpected frame {other:?}")),
+            }
+        }
+        let n = sock.read(&mut buf).map_err(|e| e.to_string())?;
+        if n == 0 {
+            return Err("server hung up".into());
+        }
+        reader
+            .push(&buf[..n], &mut bodies)
+            .map_err(|e| e.to_string())?;
+    }
+}
+
+/// Frames a client pipelines behind its `Join` — in the same write, even
+/// with a frame split across two writes — are applied once the group
+/// seals, not dropped by the acceptor.
+#[test]
+fn frames_pipelined_with_the_join_are_applied() {
+    let server = start(GroupConfig::default());
+    let addr = server.addr();
+    let join = ClientFrame::Join {
+        group: "pipelined".into(),
+        size: 2,
+    }
+    .to_frame();
+    let arrive = ClientFrame::Arrive { phase: 0 }.to_frame();
+    let ping = ClientFrame::Ping.to_frame();
+
+    // Member one: `Join` + `Arrive` in one write.
+    let mut first = TcpStream::connect(addr).expect("connect");
+    first
+        .write_all(&[join.clone(), arrive.clone()].concat())
+        .expect("write");
+    // Member two: `Join` + `Arrive` + the head of a `Ping` in one write,
+    // the `Ping`'s last byte in a second write.
+    let mut second = TcpStream::connect(addr).expect("connect");
+    let (head, tail) = ping.split_at(ping.len() - 1);
+    second
+        .write_all(&[join, arrive, head.to_vec()].concat())
+        .expect("write");
+    thread::sleep(Duration::from_millis(100));
+    second.write_all(tail).expect("write");
+
+    for (who, sock) in [("first", &mut first), ("second", &mut second)] {
+        if let Err(e) = await_raw_release(sock, 0) {
+            panic!(
+                "{who} member got no release: {e}\nserver log:\n{}",
+                server.log_snapshot()
+            );
+        }
+    }
     server.shutdown();
 }
 

@@ -58,11 +58,28 @@ pub struct CausalEvent {
     pub preds: Vec<EventId>,
 }
 
+/// What the recorder remembers of one pid.
+#[derive(Clone, Copy)]
+struct PidState {
+    /// `seq` of the pid's most recent event (0: none yet).
+    seq: u32,
+    /// Timestamp of the pid's most recent event.
+    at: f64,
+}
+
+impl PidState {
+    const NONE: PidState = PidState {
+        seq: 0,
+        at: f64::NEG_INFINITY,
+    };
+}
+
 struct CausalInner {
     capacity: usize,
     events: VecDeque<CausalEvent>,
-    next_seq: BTreeMap<u32, u32>,
-    last: BTreeMap<u32, EventId>,
+    /// Indexed by pid. Pids are small process indices, so a `Vec` grown on
+    /// demand serves the per-event path without a map lookup.
+    pids: Vec<PidState>,
     dropped: u64,
 }
 
@@ -88,8 +105,7 @@ impl CausalRecorder {
             inner: Some(Arc::new(Mutex::new(CausalInner {
                 capacity,
                 events: VecDeque::new(),
-                next_seq: BTreeMap::new(),
-                last: BTreeMap::new(),
+                pids: Vec::new(),
                 dropped: 0,
             }))),
         }
@@ -100,8 +116,16 @@ impl CausalRecorder {
     }
 
     /// Record one event for `pid` and return its id (`None` when off).
-    /// `preds` may contain duplicates or ids evicted from the ring; both
-    /// are preserved verbatim (analysis ignores refs it cannot resolve).
+    /// `pid` is a process index: the recorder keeps an entry for every pid
+    /// up to the largest one recorded. `preds` may contain duplicates or
+    /// ids evicted from the ring; both are preserved verbatim (analysis
+    /// ignores refs it cannot resolve).
+    ///
+    /// `at` is raised to the latest timestamp recorded so far by `pid` and
+    /// by the pid of every predecessor, so time never runs backwards along
+    /// a happens-before edge. Threads reading a shared clock can otherwise
+    /// stamp an event before a predecessor whose thread read the clock
+    /// later; on a single virtual clock the raise never fires.
     pub fn record(
         &self,
         pid: usize,
@@ -112,13 +136,20 @@ impl CausalRecorder {
     ) -> Option<EventId> {
         let inner = self.inner.as_ref()?;
         let mut g = inner.lock().unwrap();
-        let pid = pid as u32;
-        let seq = {
-            let next = g.next_seq.entry(pid).or_insert(0);
-            *next += 1;
-            *next
+        if pid >= g.pids.len() {
+            g.pids.resize(pid + 1, PidState::NONE);
+        }
+        let at = preds
+            .iter()
+            .filter_map(|p| g.pids.get(p.pid as usize))
+            .fold(at.max(g.pids[pid].at), |at, q| at.max(q.at));
+        let state = &mut g.pids[pid];
+        state.seq += 1;
+        state.at = at;
+        let id = EventId {
+            pid: pid as u32,
+            seq: state.seq,
         };
-        let id = EventId { pid, seq };
         if g.events.len() >= g.capacity {
             g.events.pop_front();
             g.dropped += 1;
@@ -130,7 +161,6 @@ impl CausalRecorder {
             phase,
             preds: preds.to_vec(),
         });
-        g.last.insert(pid, id);
         Some(id)
     }
 
@@ -139,7 +169,10 @@ impl CausalRecorder {
     pub fn last(&self, pid: usize) -> Option<EventId> {
         let inner = self.inner.as_ref()?;
         let g = inner.lock().unwrap();
-        g.last.get(&(pid as u32)).copied()
+        g.pids.get(pid).filter(|s| s.seq > 0).map(|s| EventId {
+            pid: pid as u32,
+            seq: s.seq,
+        })
     }
 
     /// Events evicted from the ring so far.
@@ -554,6 +587,57 @@ mod tests {
         assert_eq!(g.events[0].label, "b");
         // Seq numbering survives eviction.
         assert_eq!(g.events[1].id, id(0, 3));
+    }
+
+    #[test]
+    fn sparse_pids_keep_per_pid_sequences_across_evictions() {
+        let r = CausalRecorder::bounded(3);
+        assert_eq!(r.last(4096), None);
+        let a = r.record(4096, "a", 0.0, None, &[]).unwrap();
+        assert_eq!(a, id(4096, 1));
+        // Pids below the largest one seen, and far above it, never
+        // recorded anything.
+        assert_eq!(r.last(0), None);
+        assert_eq!(r.last(17), None);
+        assert_eq!(r.last(100_000), None);
+        let b = r.record(0, "b", 1.0, None, &[a]).unwrap();
+        assert_eq!(b, id(0, 1));
+        for k in 2..=5u32 {
+            let x = r.record(4096, "x", f64::from(k), None, &[]).unwrap();
+            assert_eq!(x, id(4096, k), "pid 4096 numbering survives eviction");
+            assert_eq!(r.last(4096), Some(x));
+        }
+        // Six records into a ring of three: three evictions, pid 0's only
+        // event among them, yet its last id and numbering persist.
+        assert_eq!(r.dropped(), 3);
+        assert_eq!(r.last(0), Some(b));
+        assert_eq!(r.record(0, "c", 9.0, None, &[]), Some(id(0, 2)));
+        assert_eq!(r.dropped(), 4);
+        assert_eq!(r.last(1), None);
+        let g = r.snapshot();
+        assert_eq!(g.dropped, 4);
+        assert_eq!(
+            g.events.iter().map(|e| e.id).collect::<Vec<_>>(),
+            vec![id(4096, 4), id(4096, 5), id(0, 2)]
+        );
+    }
+
+    #[test]
+    fn time_never_runs_backwards_along_an_edge() {
+        let r = CausalRecorder::bounded(8);
+        let a = r.record(0, "a", 5.0, None, &[]).unwrap();
+        // pid 1 read a shared clock before pid 0 did but absorbed a's
+        // message first: its event is raised to a's time.
+        r.record(1, "b", 3.0, None, &[a]);
+        // Program order: pid 1's next event does not predate its last.
+        r.record(1, "c", 4.0, None, &[]);
+        // A dangling predecessor and an unrelated pid change nothing.
+        r.record(2, "d", 1.0, None, &[id(9, 9)]);
+        let g = r.snapshot();
+        let at: Vec<f64> = g.events.iter().map(|e| e.at).collect();
+        assert_eq!(at, vec![5.0, 5.0, 5.0, 1.0]);
+        let dump = FlightDump::parse(&g.to_flight_json("x", 3, "wedge", "test")).unwrap();
+        dump.replay().expect("replays");
     }
 
     #[test]

@@ -221,10 +221,21 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(c) if c < 0x20 => return Err(self.err("control character in string")),
-                Some(_) => {
-                    // Copy a whole UTF-8 scalar, not just one byte.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
+                Some(c) => {
+                    // Copy a whole UTF-8 scalar, not just one byte. Decode
+                    // only its own bytes (the lead byte gives the length),
+                    // so parsing stays linear in the document size.
+                    let len = match c {
+                        0x00..=0x7f => 1,
+                        0xc0..=0xdf => 2,
+                        0xe0..=0xef => 3,
+                        _ => 4,
+                    };
+                    let scalar = self
+                        .bytes
+                        .get(self.pos..self.pos + len)
+                        .ok_or_else(|| self.err("invalid UTF-8"))?;
+                    let s = std::str::from_utf8(scalar).map_err(|_| self.err("invalid UTF-8"))?;
                     let ch = s.chars().next().unwrap();
                     out.push(ch);
                     self.pos += ch.len_utf8();
@@ -305,8 +316,8 @@ mod tests {
     #[test]
     fn parses_unicode_escape_and_utf8() {
         assert_eq!(
-            parse("\"\\u00e9 µ\"").unwrap(),
-            Value::String("é µ".to_owned())
+            parse("\"\\u00e9 µ € 𝄞\"").unwrap(),
+            Value::String("é µ € 𝄞".to_owned())
         );
     }
 
