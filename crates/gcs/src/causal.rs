@@ -43,12 +43,18 @@ pub struct CausalMonitor<S> {
 
 impl<S> CausalMonitor<S> {
     /// Build from a protocol's declared read-sets. With a disabled
-    /// recorder the monitor is a no-op.
+    /// recorder the monitor is a no-op, and the read-sets are not built: a
+    /// disabled recorder can never be turned on.
     pub fn from_protocol<P: Protocol<State = S>>(
         protocol: &P,
         recorder: CausalRecorder,
     ) -> CausalMonitor<S> {
-        let n = protocol.num_processes();
+        // A disabled recorder never reads `reads`: leave it empty.
+        let n = if recorder.is_enabled() {
+            protocol.num_processes()
+        } else {
+            0
+        };
         let mut reads: Vec<Vec<Pid>> = vec![Vec::new(); n];
         for q in 0..n {
             match protocol.readers_of(q) {

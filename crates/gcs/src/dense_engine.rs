@@ -758,7 +758,8 @@ impl<'p, P: DenseProtocol> DenseEngine<'p, P> {
 
             if let Some(horizon) = config.max_time {
                 if next_event > horizon {
-                    *now = horizon;
+                    // Never backwards, as in the classic engine.
+                    *now = (*now).max(horizon);
                     break 'run StopReason::MaxTime;
                 }
             }
@@ -1011,7 +1012,7 @@ impl<'p, P: DenseProtocol> DenseEngine<'p, P> {
 
                     if let Some(horizon) = config.max_time {
                         if next_event > horizon {
-                            *now = horizon;
+                            *now = (*now).max(horizon);
                             break 'run StopReason::MaxTime;
                         }
                     }

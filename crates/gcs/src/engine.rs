@@ -41,11 +41,20 @@
 //!   skipping it is exact, not approximate. Dirty pids are visited in
 //!   ascending pid order, so the RNG consumes the identical stream the full
 //!   rescan would (idle non-dirty pids never reach the nondeterministic
-//!   choice), making both modes produce byte-identical runs.
-//! * **Commit heap.** Pending commit times live in a min-heap with *lazy
-//!   invalidation*: aborting a commit (fault hit) just clears the
-//!   per-process slot; stale heap entries are discarded when popped. Finding
-//!   the next event is O(log n) instead of an O(n) scan.
+//!   choice), making both modes produce byte-identical runs. The set is a
+//!   bitmap plus a list: a dense set (at least n/16 pids, as on a tree's
+//!   wide frontier) is walked word by word in pid order, a sparse one (a
+//!   ring's single token) is sorted.
+//! * **Commit lanes.** Pending commits wait in one FIFO lane per distinct
+//!   action cost. A commit made at `now` matures at `now + cost`; `now`
+//!   never decreases and IEEE addition is monotone, so every lane stays
+//!   sorted by maturity time without a heap. The next event is the minimum
+//!   over the lane heads, and a maximal-parallel batch is the equal-time
+//!   heads of every lane, sorted by pid. Aborting a commit (fault hit) just
+//!   clears the per-process slot (*lazy invalidation*); the stale lane entry
+//!   is discarded when it reaches the head. A push or pop is O(1) and
+//!   finding the next event is O(distinct costs) — at most 3 for every
+//!   protocol in this workspace.
 //! * **No per-event snapshots.** Maximal-parallel steps read pre-step state
 //!   by computing all updates *before* applying any (the statements only
 //!   read `global` and write their own process), and the old state each
@@ -59,8 +68,7 @@
 //!
 //! [`FaultHit::old`]: crate::fault::FaultHit
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 use crate::fault::FaultPlan;
 use crate::monitor::Monitor;
@@ -121,6 +129,59 @@ struct Pending {
     at: Time,
 }
 
+/// Whether the lane entry `(at, pid)` is live: `pending` still holds the
+/// commit it was pushed for. A fault abort leaves a stale entry behind.
+fn is_live(pending: &[Option<Pending>], at: Time, pid: Pid) -> bool {
+    matches!(pending[pid], Some(p) if p.at == at)
+}
+
+/// Guard readers in compressed sparse row form: the readers of `q` are
+/// `flat[offsets[q]..offsets[q + 1]]`, sorted, deduped, and always
+/// including `q` itself.
+struct Readers {
+    offsets: Vec<usize>,
+    flat: Vec<Pid>,
+}
+
+impl Readers {
+    fn of(&self, q: Pid) -> &[Pid] {
+        &self.flat[self.offsets[q]..self.offsets[q + 1]]
+    }
+}
+
+/// Pids whose guards must be re-evaluated at the next scheduling pass. The
+/// bitmap (bit `pid % 64` of word `pid / 64`) makes membership O(1) and
+/// lets a dense set be walked in pid order; the list makes a sparse set's
+/// iteration proportional to its size.
+struct DirtySet {
+    words: Vec<u64>,
+    list: Vec<Pid>,
+}
+
+impl DirtySet {
+    fn new(n: usize) -> Self {
+        DirtySet {
+            words: vec![0; n.div_ceil(64)],
+            list: Vec::with_capacity(n),
+        }
+    }
+
+    fn insert(&mut self, pid: Pid) {
+        let (word, bit) = (&mut self.words[pid / 64], 1u64 << (pid % 64));
+        if *word & bit == 0 {
+            *word |= bit;
+            self.list.push(pid);
+        }
+    }
+}
+
+/// The pending commits of one action cost, as `(matures at, pid)` in
+/// maturity order (see the module docs).
+struct Lane {
+    cost: Time,
+    queue: VecDeque<(Time, Pid)>,
+}
+
 /// The timed engine. Owns the global state between runs so that experiments
 /// can inspect or perturb it.
 ///
@@ -156,20 +217,14 @@ pub struct Engine<'p, P: Protocol> {
     now: Time,
     rng: SimRng,
     enabled_scratch: Vec<ActionId>,
-    /// `readers[q]` = sorted, deduped pids whose guards read q's state
-    /// (always including q itself). `None` when the protocol answered
-    /// [`ReaderSet::All`] for some pid: every event then triggers a full
-    /// guard rescan.
-    readers: Option<Vec<Vec<Pid>>>,
-    /// Dirty set: pids whose guards must be re-evaluated at the next
-    /// scheduling pass. The flag vector makes membership O(1); the list
-    /// makes iteration proportional to the set size.
-    dirty_flag: Vec<bool>,
-    dirty_list: Vec<Pid>,
-    /// Commit queue with lazy invalidation: an entry is live iff
-    /// `pending[pid]` still matures at exactly that time; stale entries are
-    /// dropped when they surface at the top.
-    commits: BinaryHeap<Reverse<(Time, Pid)>>,
+    /// The pids whose guards read each process's state. `None` when the
+    /// protocol answered [`ReaderSet::All`] for some pid: every event then
+    /// triggers a full guard rescan.
+    readers: Option<Readers>,
+    dirty: DirtySet,
+    /// Commit lanes, one per distinct cost seen, with lazy invalidation
+    /// (see [`is_live`]).
+    lanes: Vec<Lane>,
     /// Scratch buffers reused across steps (no per-step allocation).
     batch: Vec<Pid>,
     updates: Vec<(Pid, ActionId, P::State)>,
@@ -191,7 +246,11 @@ impl<'p, P: Protocol> Engine<'p, P> {
         assert_eq!(global.len(), protocol.num_processes());
         let n = protocol.num_processes();
 
-        let mut reader_table = Vec::with_capacity(n);
+        let mut reader_table = Readers {
+            offsets: Vec::with_capacity(n + 1),
+            flat: Vec::new(),
+        };
+        reader_table.offsets.push(0);
         let mut complete = true;
         for pid in 0..n {
             match protocol.readers_of(pid) {
@@ -207,7 +266,8 @@ impl<'p, P: Protocol> Engine<'p, P> {
                         readers.iter().all(|&r| r < n),
                         "readers_of({pid}) names a pid out of range (n={n})"
                     );
-                    reader_table.push(readers);
+                    reader_table.flat.extend_from_slice(&readers);
+                    reader_table.offsets.push(reader_table.flat.len());
                 }
             }
         }
@@ -227,9 +287,8 @@ impl<'p, P: Protocol> Engine<'p, P> {
             rng: SimRng::seed_from_u64(seed),
             enabled_scratch: Vec::new(),
             readers: complete.then_some(reader_table),
-            dirty_flag: vec![false; n],
-            dirty_list: Vec::with_capacity(n),
-            commits: BinaryHeap::with_capacity(n),
+            dirty: DirtySet::new(n),
+            lanes: Vec::new(),
             batch: Vec::new(),
             updates: Vec::new(),
             touched: Vec::new(),
@@ -252,7 +311,7 @@ impl<'p, P: Protocol> Engine<'p, P> {
         self.global[pid] = state;
         self.pending[pid] = None;
         self.mark_readers_of(pid);
-        self.mark(pid);
+        self.dirty.insert(pid);
     }
 
     /// Replace every process's state with an arbitrary domain value — used to
@@ -269,30 +328,20 @@ impl<'p, P: Protocol> Engine<'p, P> {
         &mut self.rng
     }
 
-    fn mark(&mut self, pid: Pid) {
-        if !self.dirty_flag[pid] {
-            self.dirty_flag[pid] = true;
-            self.dirty_list.push(pid);
-        }
-    }
-
     fn mark_all(&mut self) {
-        for pid in 0..self.dirty_flag.len() {
-            self.mark(pid);
+        for pid in 0..self.pending.len() {
+            self.dirty.insert(pid);
         }
     }
 
     /// State of `pid` changed: every process whose guard reads it may have
     /// flipped enabled-status. No-op under full rescans (`readers` absent).
     fn mark_readers_of(&mut self, pid: Pid) {
-        let Some(readers) = self.readers.as_deref() else {
+        let Some(readers) = &self.readers else {
             return;
         };
-        for &r in &readers[pid] {
-            if !self.dirty_flag[r] {
-                self.dirty_flag[r] = true;
-                self.dirty_list.push(r);
-            }
+        for &r in readers.of(pid) {
+            self.dirty.insert(r);
         }
     }
 
@@ -310,9 +359,24 @@ impl<'p, P: Protocol> Engine<'p, P> {
             1 => self.enabled_scratch[0],
             _ => *self.rng.choose(&self.enabled_scratch),
         };
-        let at = self.now + self.protocol.cost(pid, action);
+        let cost = self.protocol.cost(pid, action);
+        let at = self.now + cost;
         self.pending[pid] = Some(Pending { action, at });
-        self.commits.push(Reverse((at, pid)));
+        let lane = match self.lanes.iter().position(|l| l.cost == cost) {
+            Some(i) => &mut self.lanes[i],
+            None => {
+                self.lanes.push(Lane {
+                    cost,
+                    queue: VecDeque::new(),
+                });
+                self.lanes.last_mut().expect("just pushed")
+            }
+        };
+        debug_assert!(
+            lane.queue.back().is_none_or(|&(last, _)| last <= at),
+            "commit at {at} goes behind its lane's back"
+        );
+        lane.queue.push_back((at, pid));
     }
 
     /// Schedule commits for all idle processes with an enabled action.
@@ -320,44 +384,58 @@ impl<'p, P: Protocol> Engine<'p, P> {
     /// In incremental mode only the dirty set is examined, in ascending pid
     /// order — the same order the full rescan uses, and idle non-dirty pids
     /// cannot have an enabled action, so both modes drive the RNG
-    /// identically.
+    /// identically. A dense set is walked as bitmap words, which visits it
+    /// in pid order without sorting; a sparse one is sorted.
     fn schedule(&mut self, incremental: bool) {
-        if incremental {
-            self.dirty_list.sort_unstable();
-            let mut i = 0;
-            while i < self.dirty_list.len() {
-                let pid = self.dirty_list[i];
-                i += 1;
-                self.dirty_flag[pid] = false;
-                if self.pending[pid].is_none() {
-                    self.try_commit(pid);
-                }
-            }
-            self.dirty_list.clear();
-        } else {
+        let n = self.pending.len();
+        if !incremental {
             // Reference path: rescan every guard. Dirty bookkeeping is
             // still cleared so a later incremental run starts from the same
             // invariant (every idle process has just been checked).
-            for pid in 0..self.pending.len() {
-                self.dirty_flag[pid] = false;
+            self.dirty.words.fill(0);
+            for pid in 0..n {
                 if self.pending[pid].is_none() {
                     self.try_commit(pid);
                 }
             }
-            self.dirty_list.clear();
+        } else if self.dirty.list.len() >= n / 16 {
+            for w in 0..self.dirty.words.len() {
+                let mut bits = std::mem::take(&mut self.dirty.words[w]);
+                while bits != 0 {
+                    let pid = w * 64 + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    if self.pending[pid].is_none() {
+                        self.try_commit(pid);
+                    }
+                }
+            }
+        } else {
+            self.dirty.list.sort_unstable();
+            for i in 0..self.dirty.list.len() {
+                let pid = self.dirty.list[i];
+                self.dirty.words[pid / 64] &= !(1u64 << (pid % 64));
+                if self.pending[pid].is_none() {
+                    self.try_commit(pid);
+                }
+            }
         }
+        self.dirty.list.clear();
     }
 
-    /// Time of the next maturing commit, discarding stale heap entries
-    /// (lazily invalidated by fault aborts) from the top.
+    /// Time of the next maturing commit, discarding stale lane heads
+    /// (lazily invalidated by fault aborts).
     fn earliest_commit(&mut self) -> Option<Time> {
-        while let Some(&Reverse((at, pid))) = self.commits.peek() {
-            if matches!(self.pending[pid], Some(p) if p.at == at) {
-                return Some(at);
+        let mut earliest: Option<Time> = None;
+        for lane in &mut self.lanes {
+            while let Some(&(at, pid)) = lane.queue.front() {
+                if is_live(&self.pending, at, pid) {
+                    earliest = Some(earliest.map_or(at, |e| e.min(at)));
+                    break;
+                }
+                lane.queue.pop_front();
             }
-            self.commits.pop();
         }
-        None
+        earliest
     }
 
     /// Run until a stop condition. `faults` injects the fault environment;
@@ -387,7 +465,10 @@ impl<'p, P: Protocol> Engine<'p, P> {
 
             if let Some(horizon) = config.max_time {
                 if next_event > horizon {
-                    self.now = horizon;
+                    // Never backwards: a horizon behind the clock (a later
+                    // run with a shorter one) leaves the clock where it is,
+                    // which keeps every lane sorted.
+                    self.now = self.now.max(horizon);
                     break 'run StopReason::MaxTime;
                 }
             }
@@ -400,13 +481,13 @@ impl<'p, P: Protocol> Engine<'p, P> {
                     self.touched.clear();
                     let hit = faults.fire(f, &mut self.global, &mut self.rng, &mut self.touched);
                     // The fault aborts the victim's in-flight action (its
-                    // heap entry goes stale and is dropped lazily).
+                    // lane entry goes stale and is dropped lazily).
                     self.pending[hit.pid] = None;
                     for i in 0..self.touched.len() {
                         let p = self.touched[i];
                         self.mark_readers_of(p); // includes p itself
                     }
-                    self.mark(hit.pid); // must reschedule after the abort
+                    self.dirty.insert(hit.pid); // must reschedule after the abort
                     stats.faults += 1;
                     monitor.on_fault(
                         self.now,
@@ -424,20 +505,23 @@ impl<'p, P: Protocol> Engine<'p, P> {
             }
 
             // Commit batch: all pending actions maturing exactly now execute
-            // as one maximal-parallel step against the pre-step state. The
-            // heap yields equal-time entries in ascending pid order; a pid
-            // may surface twice (abort + reschedule at the same instant),
-            // which the `take()` below collapses.
+            // as one maximal-parallel step against the pre-step state, in
+            // ascending pid order. Each lane's equal-time entries are a
+            // prefix of it. A pid may surface twice (abort + reschedule at
+            // the same instant), which the `take()` below collapses.
             self.batch.clear();
-            while let Some(&Reverse((at, pid))) = self.commits.peek() {
-                if at != next_event {
-                    break;
-                }
-                self.commits.pop();
-                if matches!(self.pending[pid], Some(p) if p.at == at) {
-                    self.batch.push(pid);
+            for lane in &mut self.lanes {
+                while let Some(&(at, pid)) = lane.queue.front() {
+                    if at != next_event {
+                        break;
+                    }
+                    lane.queue.pop_front();
+                    if is_live(&self.pending, at, pid) {
+                        self.batch.push(pid);
+                    }
                 }
             }
+            self.batch.sort_unstable();
             debug_assert!(!self.batch.is_empty(), "an event time with no commits");
 
             // Compute phase: `global` is not mutated yet, so every statement
@@ -446,7 +530,7 @@ impl<'p, P: Protocol> Engine<'p, P> {
             for i in 0..self.batch.len() {
                 let pid = self.batch[i];
                 let Some(p) = self.pending[pid].take() else {
-                    continue; // duplicate heap entry already consumed
+                    continue; // duplicate lane entry already consumed
                 };
                 if self.protocol.enabled(&self.global, pid, p.action) {
                     let new = self
@@ -455,7 +539,7 @@ impl<'p, P: Protocol> Engine<'p, P> {
                     self.updates.push((pid, p.action, new));
                 } else {
                     stats.commits_dropped += 1;
-                    self.mark(pid);
+                    self.dirty.insert(pid);
                 }
             }
 
@@ -738,6 +822,244 @@ mod tests {
         assert!(out.stats.actions_executed > 0, "injected token was ignored");
         assert_eq!(tokens(&r, engine.global()), 1);
         assert_ne!(engine.global(), &moved_before[..]);
+    }
+
+    /// Nine distinct costs, zero included; sums of the binary fractions
+    /// coincide, so commits from different lanes mature together.
+    const LANE_COSTS: [f64; 9] = [0.0, 0.125, 0.25, 0.3, 0.5, 0.625, 0.75, 1.0, 1.5];
+
+    /// A Dijkstra ring whose token holder may pass by either of two
+    /// actions (an RNG choice), each with its own cost per pid.
+    struct CostlyRing(DijkstraRing);
+
+    impl Protocol for CostlyRing {
+        type State = u64;
+        fn num_processes(&self) -> usize {
+            self.0.n
+        }
+        fn num_actions(&self, _pid: Pid) -> usize {
+            2
+        }
+        fn action_name(&self, _pid: Pid, action: ActionId) -> &'static str {
+            ["pass", "hand"][action]
+        }
+        fn enabled(&self, global: &[u64], pid: Pid, _action: ActionId) -> bool {
+            self.0.enabled(global, pid, 0)
+        }
+        fn execute(&self, global: &[u64], pid: Pid, _action: ActionId, rng: &mut SimRng) -> u64 {
+            self.0.execute(global, pid, 0, rng)
+        }
+        fn cost(&self, pid: Pid, action: ActionId) -> Time {
+            Time::new(LANE_COSTS[(pid + action) % LANE_COSTS.len()])
+        }
+        fn initial_state(&self) -> Vec<u64> {
+            self.0.initial_state()
+        }
+        fn arbitrary_state(&self, pid: Pid, rng: &mut SimRng) -> u64 {
+            self.0.arbitrary_state(pid, rng)
+        }
+        fn readers_of(&self, pid: Pid) -> ReaderSet {
+            self.0.readers_of(pid)
+        }
+    }
+
+    #[test]
+    fn many_cost_lanes_match_full_rescan_under_faults() {
+        // 256 pids: a perturbed start dirties most of the ring (the bitmap
+        // walk); forged tokens, injected in descending pid order between
+        // two runs, dirty a few pids out of order (the sort).
+        let r = CostlyRing(ring(256, 0.0));
+        let run = |seed: u64, full_rescan: bool| {
+            let mut engine = Engine::new(&r, seed);
+            engine.perturb_all();
+            let mut trace: Trace<u64> = Trace::unbounded();
+            let mut faults = PoissonFaults::with_rate(0.5, VictimPolicy::Random, Scramble);
+            let config = |horizon: f64| EngineConfig {
+                seed,
+                max_time: Some(Time::new(horizon)),
+                max_commits: Some(200_000),
+                full_rescan,
+            };
+            let first = engine.run(&config(30.0), &mut faults, &mut trace);
+            for pid in [200, 120, 40] {
+                engine.set_state(pid, engine.global()[pid - 1] + 1);
+            }
+            let second = engine.run(&config(60.0), &mut faults, &mut trace);
+            let lanes = engine.lanes.len();
+            let events: Vec<_> = trace.events().cloned().collect();
+            (events, engine.global().to_vec(), [first, second], lanes)
+        };
+        for seed in [21, 22, 23] {
+            let (ev_inc, g_inc, out_inc, lanes) = run(seed, false);
+            let (ev_full, g_full, out_full, _) = run(seed, true);
+            assert!(lanes >= 8, "only {lanes} lanes (seed {seed})");
+            for out in &out_inc {
+                assert_eq!(out.reason, StopReason::MaxTime, "seed {seed}");
+                assert!(out.stats.faults > 0 && out.stats.commits_dropped > 0);
+            }
+            assert_eq!(ev_inc, ev_full, "trace diverged (seed {seed})");
+            assert_eq!(g_inc, g_full, "state diverged (seed {seed})");
+            assert_eq!(out_inc, out_full, "outcome diverged (seed {seed})");
+        }
+    }
+
+    /// Three one-shot processes, each stepping once from 0 to 1: pid 0
+    /// and pid 1 start enabled, pid 2 waits for pid 0.
+    struct Chain;
+
+    impl Protocol for Chain {
+        type State = u8;
+        fn num_processes(&self) -> usize {
+            3
+        }
+        fn num_actions(&self, _pid: Pid) -> usize {
+            1
+        }
+        fn action_name(&self, _pid: Pid, _action: ActionId) -> &'static str {
+            "step"
+        }
+        fn enabled(&self, g: &[u8], pid: Pid, _action: ActionId) -> bool {
+            g[pid] == 0 && (pid != 2 || g[0] == 1)
+        }
+        fn execute(&self, _g: &[u8], _pid: Pid, _action: ActionId, _rng: &mut SimRng) -> u8 {
+            1
+        }
+        fn cost(&self, pid: Pid, _action: ActionId) -> Time {
+            Time::new([0.5, 1.0, 0.5][pid])
+        }
+        fn initial_state(&self) -> Vec<u8> {
+            vec![0; 3]
+        }
+        fn arbitrary_state(&self, _pid: Pid, rng: &mut SimRng) -> u8 {
+            rng.range_u64(0, 2) as u8
+        }
+        fn readers_of(&self, pid: Pid) -> ReaderSet {
+            ReaderSet::These(if pid == 0 { vec![2] } else { vec![] })
+        }
+    }
+
+    #[test]
+    fn equal_time_commits_from_two_lanes_run_in_pid_order() {
+        // At t = 1.0 pid 2's commit (made at 0.5, in the 0.5 lane, which
+        // pid 0 opened first) and pid 1's (made at 0, in the 1.0 lane)
+        // mature together: the batch runs pid 1 before pid 2.
+        for full_rescan in [false, true] {
+            let mut engine = Engine::new(&Chain, 1);
+            let mut trace: Trace<u8> = Trace::unbounded();
+            let config = EngineConfig {
+                full_rescan,
+                ..Default::default()
+            };
+            let out = engine.run(&config, &mut NoFaults, &mut trace);
+            assert_eq!(out.reason, StopReason::Fixpoint);
+            assert_eq!(engine.lanes[0].cost, Time::new(0.5));
+            let order: Vec<(f64, Pid)> = trace
+                .events()
+                .map(|e| (e.time().as_f64(), e.pid()))
+                .collect();
+            assert_eq!(order, [(0.5, 0), (1.0, 1), (1.0, 2)]);
+        }
+    }
+
+    /// One process: `slow` (cost 1.0) from state 0, `fast` (cost 0.5)
+    /// from state 5; either ends in state 9.
+    struct TwoSpeeds;
+
+    impl Protocol for TwoSpeeds {
+        type State = u64;
+        fn num_processes(&self) -> usize {
+            1
+        }
+        fn num_actions(&self, _pid: Pid) -> usize {
+            2
+        }
+        fn action_name(&self, _pid: Pid, action: ActionId) -> &'static str {
+            ["slow", "fast"][action]
+        }
+        fn enabled(&self, g: &[u64], _pid: Pid, action: ActionId) -> bool {
+            g[0] == [0, 5][action]
+        }
+        fn execute(&self, _g: &[u64], _pid: Pid, _action: ActionId, _rng: &mut SimRng) -> u64 {
+            9
+        }
+        fn cost(&self, _pid: Pid, action: ActionId) -> Time {
+            Time::new([1.0, 0.5][action])
+        }
+        fn initial_state(&self) -> Vec<u64> {
+            vec![0]
+        }
+        fn arbitrary_state(&self, _pid: Pid, rng: &mut SimRng) -> u64 {
+            rng.range_u64(0, 10)
+        }
+        fn readers_of(&self, _pid: Pid) -> ReaderSet {
+            ReaderSet::These(vec![])
+        }
+    }
+
+    struct SetTo(u64);
+    impl FaultAction<u64> for SetTo {
+        fn kind(&self) -> FaultKind {
+            FaultKind::Detectable
+        }
+        fn apply(&self, _pid: Pid, state: &mut u64, _rng: &mut SimRng) {
+            *state = self.0;
+        }
+    }
+
+    #[test]
+    fn aborted_commit_rescheduled_for_the_same_instant_executes_once() {
+        // `slow` commits at 0 for 1.0. A fault aborts it and the process
+        // commits again for 1.0: at t = 0 into the same lane (state kept),
+        // or at t = 0.5 into the `fast` lane (state set to 5). The stale
+        // entry then looks live too, and the step must still run once.
+        for (fault_at, state, action) in [(0.0, 0, 0), (0.5, 5, 1)] {
+            for full_rescan in [false, true] {
+                let mut engine = Engine::new(&TwoSpeeds, 1);
+                let mut trace: Trace<u64> = Trace::unbounded();
+                let mut faults = ScriptedFaults::new(vec![ScriptedFault {
+                    at: Time::new(fault_at),
+                    pid: 0,
+                    action: Box::new(SetTo(state)) as Box<dyn FaultAction<u64>>,
+                }]);
+                let config = EngineConfig {
+                    full_rescan,
+                    ..Default::default()
+                };
+                let out = engine.run(&config, &mut faults, &mut trace);
+                assert_eq!(out.reason, StopReason::Fixpoint);
+                assert_eq!(out.stats.faults, 1);
+                assert_eq!(out.stats.actions_executed, 1, "fault at {fault_at}");
+                assert_eq!(out.stats.commits_dropped, 0);
+                assert_eq!(out.stats.elapsed, Time::new(1.0));
+                let steps: Vec<_> = trace
+                    .events()
+                    .filter_map(|e| match e {
+                        crate::trace::TraceEvent::Transition { now, action, .. } => {
+                            Some((*now, *action))
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(steps, [(Time::new(1.0), action)]);
+            }
+        }
+    }
+
+    #[test]
+    fn a_horizon_behind_the_clock_does_not_rewind_it() {
+        let r = ring(5, 1.0);
+        let mut engine = Engine::new(&r, 8);
+        let horizon = |t: f64| EngineConfig {
+            max_time: Some(Time::new(t)),
+            ..Default::default()
+        };
+        engine.run(&horizon(10.5), &mut NoFaults, &mut NullMonitor);
+        let out = engine.run(&horizon(4.0), &mut NoFaults, &mut NullMonitor);
+        assert_eq!(out.reason, StopReason::MaxTime);
+        assert_eq!(engine.now(), Time::new(10.5));
+        let out = engine.run(&horizon(20.5), &mut NoFaults, &mut NullMonitor);
+        assert_eq!(out.stats.actions_executed, 10);
+        assert_eq!(tokens(&r, engine.global()), 1);
     }
 
     #[test]
